@@ -197,57 +197,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_purge.add_argument("--cache-dir", default=None)
 
-    serve = sub.add_parser(
-        "serve", help="run the HTTP/JSON scenario service in the foreground"
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8321, help="0 picks a free port")
-    serve.add_argument("--cache-dir", default=None)
-    serve.add_argument("--no-cache", action="store_true")
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-pool width for cache misses (0: in-process threads)",
-    )
-    serve.add_argument(
-        "--shards", default=None, help="comma-separated consistent-hash node names"
-    )
-    serve.add_argument("--shard-self", default="local")
-    serve.add_argument(
-        "--memory-entries",
-        type=int,
-        default=None,
-        help="in-memory LRU capacity of the result cache (entries)",
-    )
-    serve.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="default per-request deadline for work endpoints (504 past it)",
-    )
-    serve.add_argument(
-        "--max-in-flight",
-        type=int,
-        default=0,
-        help="shed work requests with 429 past this many in flight (0: unbounded)",
-    )
-    serve.add_argument(
-        "--worker-timeout",
-        type=float,
-        default=None,
-        help="seconds before a worker attempt counts as stalled and retries",
-    )
-    serve.add_argument(
-        "--drain-grace",
-        type=float,
-        default=10.0,
-        help="seconds SIGTERM waits for in-flight work before closing",
-    )
-    serve.add_argument(
-        "--fault-plan",
-        default=None,
-        help="arm a repro.faults plan: inline JSON or @path/to/plan.json",
+    from .service.__main__ import build_parser as build_service_parser
+
+    # Every ``python -m repro.service`` option, parsed by that parser's own
+    # arguments (its -h action prints this subcommand's help).
+    sub.add_parser(
+        "serve",
+        parents=[build_service_parser()],
+        add_help=False,
+        help="run the HTTP/JSON scenario service in the foreground",
     )
 
     load = sub.add_parser(
@@ -601,27 +559,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service.__main__ import main as service_main
+    from .service.__main__ import serve
 
-    forward = ["--host", args.host, "--port", str(args.port), "--workers", str(args.workers)]
-    if args.cache_dir:
-        forward += ["--cache-dir", args.cache_dir]
-    if args.no_cache:
-        forward += ["--no-cache"]
-    if args.shards:
-        forward += ["--shards", args.shards, "--shard-self", args.shard_self]
-    if args.memory_entries is not None:
-        forward += ["--memory-entries", str(args.memory_entries)]
-    if args.deadline_ms is not None:
-        forward += ["--deadline-ms", str(args.deadline_ms)]
-    if args.max_in_flight:
-        forward += ["--max-in-flight", str(args.max_in_flight)]
-    if args.worker_timeout is not None:
-        forward += ["--worker-timeout", str(args.worker_timeout)]
-    forward += ["--drain-grace", str(args.drain_grace)]
-    if args.fault_plan:
-        forward += ["--fault-plan", args.fault_plan]
-    return service_main(forward)
+    return serve(args)
 
 
 def _parse_server(server: str) -> tuple[str, int]:

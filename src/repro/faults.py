@@ -33,9 +33,13 @@ hopeful.
 Arming is per-process.  :func:`arm`/:func:`disarm` set the plan directly;
 subprocess workers and spawned servers inherit it through the
 ``REPRO_FAULT_PLAN`` environment variable (inline JSON, or ``@path`` to a
-plan file), read once at import.  When no plan is armed, :func:`fire` is a
-single module-global ``None`` check — the injection points are off-path
-free (benchmark-guarded in ``benchmarks/test_bench_service.py``).
+plan file), read once at import.  A pool that the worker tier
+(:class:`repro.serve.executor.WorkerTier`) respawns after a crash or
+stall runs disarmed: every fresh process would otherwise replay the same
+schedule, and a one-shot crash would recur in each replacement worker.
+When no plan is armed, :func:`fire` is a single module-global ``None``
+check — the injection points are off-path free (benchmark-guarded in
+``benchmarks/test_bench_service.py``).
 
 Plan JSON::
 

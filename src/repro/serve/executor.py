@@ -1,38 +1,50 @@
-"""Batch executor: dedup, cache probe, and sharded execution of many specs.
+"""Batch executor and the one worker tier behind every cache miss.
 
 :func:`run_batch` is the serving hot path for scenario traffic.  It takes a
 request-ordered list of :class:`~repro.scenario.ScenarioSpec`, collapses
 duplicate requests onto one execution via their content-addressed
 :func:`~repro.serve.cache.cache_key`, serves whatever the
 :class:`~repro.serve.cache.ResultCache` already holds, and shards the
-remaining misses over a spawn-context process pool (the same pool
-discipline as :func:`repro.experiments.parallel.parallel_sweep`: spawn
-context for BLAS-thread safety, stateless workers, one coarse
-pickle-friendly shard of work per worker, small arrays back).
+remaining misses over a :class:`WorkerTier`.
+
+:class:`WorkerTier` is the only owner of worker processes in the serving
+stack: ``run_batch`` drives one per call, and
+:class:`~repro.service.app.ScenarioService` keeps one for its lifetime.
+It runs shards of ``(key, spec_json)`` tasks on a spawn-context process
+pool (spawn for BLAS-thread safety; stateless workers, small arrays back)
+or, at width 0, on in-process threads, and owns the stall clock, the
+respawn and the bounded retry loop.
 
 Determinism: every spec carries its own seed, so a result is a pure
 function of the spec — identical whichever worker (or the parent) runs it,
 and bit-identical to a direct :func:`~repro.scenario.simulate_ensemble`
 call.  That is what makes the dedup and the cache sound — **and** what
-makes retrying a lost shard safe: re-running a task after a worker crash
-reproduces the exact same bits the dead worker would have returned.
+makes retrying a lost shard safe.
 
-Failure semantics (the resilience contract, tested in
-``tests/test_serve.py``):
+Failure semantics (tested in ``tests/test_serve.py`` and
+``tests/test_service.py``):
 
-* a spec that *raises* inside a worker (a deterministic item failure)
-  becomes a per-item ``{"type", "message"}`` error envelope in
-  :attr:`BatchReport.errors` — one poisoned spec never takes down its
-  batch siblings;
-* a worker that *dies* (``BrokenProcessPool``) or *stalls* past
-  ``worker_timeout`` loses its shard, not the batch: the pool is
-  respawned and the lost tasks are retried with exponential backoff +
-  deterministic jitter, up to ``max_attempts`` total attempts, with
-  per-key retry counts recorded in :attr:`BatchReport.retries`;
-* both failure modes are injectable deterministically through
-  :mod:`repro.faults` (``executor.worker-crash`` /
-  ``executor.worker-stall``), which is how the chaos suite exercises
-  these paths without real hardware failures.
+* a spec that *raises* inside a worker becomes a per-item ``{"type",
+  "message"}`` error envelope; it never retries and never poisons its
+  shard siblings;
+* a shard whose task is *lost* — its worker died (``BrokenProcessPool``),
+  stalled past ``worker_timeout``, raised an injected fault, or had the
+  task cancelled by another shard's respawn — retries with exponential
+  backoff and deterministic jitter, up to ``max_attempts`` attempts, with
+  per-key retry counts as provenance.  Such a cancellation is never the
+  caller's own cancellation;
+* the first shard to see a pool die or stall replaces it; the replacement
+  runs with :mod:`repro.faults` disarmed, so a fault schedule is one
+  incident rather than one per replacement worker;
+* the stall clock starts once the pool is warm and a worker is free: a
+  fresh pool first runs one :func:`_warm` task per worker (spawn,
+  imports, registries), and at most ``workers`` tasks are submitted at
+  once, so neither start-up nor queueing behind healthy siblings counts
+  against ``worker_timeout``.  Threads have no stall clock, since a
+  thread cannot be replaced; in-process tasks take one thread hop each,
+  so a cancellation lands between simulations;
+* ``executor.worker-crash`` and ``executor.worker-stall`` in
+  :mod:`repro.faults` inject both failure modes deterministically.
 
 Specs with ``seed=None`` are rejected up front.
 """
@@ -44,7 +56,7 @@ import os
 import random
 import time
 from collections.abc import Sequence
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
@@ -54,7 +66,10 @@ from ..scenario import ScenarioSpec, simulate_ensemble
 from .cache import ResultCache, cache_key
 from .envelope import error_envelope
 
-__all__ = ["BatchReport", "WorkerPoolError", "run_batch"]
+# asyncio is imported only where a tier runs: ``import repro`` (the
+# engines alone) and every spawned worker stay without it (~2 MB RSS).
+
+__all__ = ["BatchReport", "WorkerPoolError", "WorkerTier", "run_batch"]
 
 #: Per-request provenance labels in :attr:`BatchReport.sources`.
 FROM_CACHE = "cache"
@@ -62,8 +77,10 @@ FROM_RUN = "run"
 FROM_DEDUP = "dedup"
 FROM_ERROR = "error"
 
-#: Retry policy defaults for lost shards (crash / stall recovery).
-DEFAULT_MAX_ATTEMPTS = 4
+#: Total attempts per shard before the tier gives up (crash / stall
+#: recovery).  8 puts exhaustion under an injected crash probability of
+#: 0.2 at ~2.6e-6 per shard, so the chaos smoke's zero-5xx check is sound.
+DEFAULT_MAX_ATTEMPTS = 8
 BACKOFF_BASE_SECONDS = 0.05
 BACKOFF_CAP_SECONDS = 2.0
 
@@ -170,21 +187,25 @@ def run_batch(
         fresh results are stored back.  Without a cache the batch still
         dedups identical requests within itself.
     processes:
-        Pool width for the misses.  ``None`` lets ``multiprocessing`` pick;
-        ``1`` (or a batch with at most one miss) runs inline with no pool —
-        the dependency-free fallback path.
+        Pool width for the misses.  ``None`` uses one worker per CPU;
+        ``1`` (or a batch with at most one miss) runs in-process with no
+        pool — the dependency-free fallback path.
     max_attempts:
-        Total attempts per task before the batch raises
-        :class:`WorkerPoolError` — only worker *crashes and stalls* retry
-        (results are pure functions of the spec, so a retry is
-        bit-identical); deterministic item failures never do.
+        Total attempts per shard before the batch raises
+        :class:`WorkerPoolError` — only *lost* tasks (worker crashes and
+        stalls) retry (results are pure functions of the spec, so a retry
+        is bit-identical); deterministic item failures never do.
     worker_timeout:
-        Seconds to wait for a pool attempt before declaring the
-        outstanding shards stalled and retrying them on a fresh pool.
-        ``None`` (default) waits indefinitely.
+        Seconds one shard may run on a warm pool before it counts as
+        stalled and retries on a fresh pool.  ``None`` (default) waits
+        indefinitely.
 
     Duplicate requests share one ``EnsembleResult`` object; treat results
-    as read-only (the cache already hands out defensive copies).
+    as read-only (the cache already hands out defensive copies).  Misses
+    run on a :class:`WorkerTier` driven by :func:`asyncio.run` — on a
+    helper thread when the caller already runs an event loop, which this
+    call then blocks until the batch is done.  In-process misses run on a
+    thread, so Ctrl-C stops the batch once the simulation in progress ends.
     """
     specs = list(specs)
     for position, spec in enumerate(specs):
@@ -225,13 +246,24 @@ def run_batch(
 
     retries: dict[str, int] = {}
     if to_run:
-        fresh = _execute(
-            to_run,
-            processes,
+        import asyncio
+
+        tier = WorkerTier(
+            _pool_width(processes, len(to_run)),
             max_attempts=max_attempts,
             worker_timeout=worker_timeout,
-            retries=retries,
         )
+        work = tier.run_all(to_run, retries)
+        try:
+            try:
+                asyncio.get_running_loop()
+            except RuntimeError:
+                fresh = asyncio.run(work)
+            else:  # called from async code: asyncio.run needs a thread of its own
+                with ThreadPoolExecutor(1) as helper:
+                    fresh = helper.submit(asyncio.run, work).result()
+        finally:
+            tier.close()
         for key, payload in fresh:
             if isinstance(payload, dict):  # per-item worker error envelope
                 failures[key] = payload
@@ -257,6 +289,19 @@ def run_batch(
     )
 
 
+def _warm() -> None:
+    """Pool warm-up task: pay a fresh worker's one-time start-up cost.
+
+    Module-level (picklable).  Unpickling it imports this module; filling
+    the workload and topology registries pays the imports that a worker's
+    first ``resolve()`` would otherwise pay inside a task, on the stall
+    clock.
+    """
+    from ..scenario import _ensure_registered
+
+    _ensure_registered()
+
+
 def backoff_delay(attempt: int, jitter: random.Random) -> float:
     """Exponential backoff with jitter: uniformly 50–150% of the nominal step.
 
@@ -267,93 +312,161 @@ def backoff_delay(attempt: int, jitter: random.Random) -> float:
     return nominal * (0.5 + jitter.random())
 
 
-def _execute(
-    tasks: list[tuple[str, str]],
-    processes: int | None,
-    *,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    worker_timeout: float | None = None,
-    retries: dict[str, int] | None = None,
-) -> list[tuple[str, object]]:
-    """Run the miss tasks with crash/stall recovery; records per-key retries.
+def _pool_width(processes: int | None, tasks: int) -> int:
+    """``run_batch``'s tier width: 0 (in-process) unless two workers have work."""
+    width = processes if processes is not None else (os.cpu_count() or 1)
+    width = max(1, min(width, tasks))
+    return 0 if width == 1 else width
 
-    Each attempt runs the still-pending tasks — inline when trivial,
-    sharded over a **fresh** spawn pool otherwise (a broken or stalled
-    pool is never reused).  Tasks whose shard completed are banked across
-    attempts; only lost tasks retry.
+
+class _PoolReplaced(Exception):
+    """An attempt's pool was replaced by a respawn before its task finished."""
+
+
+class WorkerTier:
+    """:func:`_run_shard` on ``workers`` spawned processes (0: in-process threads).
+
+    ``max_attempts`` bounds the attempts per shard; ``worker_timeout`` is
+    the stall clock (seconds one attempt may run on a warm pool, ``None``
+    waits forever).  All methods run on one event loop; the pool is spawned by
+    :meth:`start` or the first :meth:`run` and shut down by :meth:`close`.
     """
-    if retries is None:
-        retries = {}
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    # Deterministic jitter: the schedule is a function of the task list,
-    # not of wall clock or PID, so chaos runs replay identically.
-    jitter = random.Random(len(tasks) * 1_000_003 + max_attempts)
-    pending = list(tasks)
-    done: list[tuple[str, object]] = []
-    last_error: BaseException | None = None
-    for attempt in range(max_attempts):
-        if attempt:
-            for key, _ in pending:
-                retries[key] = retries.get(key, 0) + 1
-            time.sleep(backoff_delay(attempt - 1, jitter))
-        completed, pending, last_error = _one_attempt(
-            pending, processes, worker_timeout
-        )
-        done.extend(completed)
-        if not pending:
-            return done
-    raise WorkerPoolError(
-        f"{len(pending)} task(s) still failing after {max_attempts} attempts"
-    ) from last_error
 
+    def __init__(
+        self,
+        workers: int = 0,
+        *,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+        worker_timeout: float | None = None,
+    ):
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
+        if max_attempts < 1:
+            raise ValueError(f"attempts must be >= 1, got {max_attempts}")
+        if worker_timeout is not None and worker_timeout <= 0:
+            raise ValueError(f"worker_timeout must be > 0, got {worker_timeout}")
+        self.workers = int(workers)
+        self.max_attempts = int(max_attempts)
+        self.worker_timeout = None if worker_timeout is None else float(worker_timeout)
+        #: Task re-executions so far: one per key per retried attempt.
+        self.retried = 0
+        self._pool: ProcessPoolExecutor | None = None
+        self._warm: asyncio.Future | None = None
+        #: One slot per worker; an attempt holds one while its task runs.
+        self._slots: asyncio.Semaphore | None = None
+        self._closed = False
 
-def _one_attempt(
-    tasks: list[tuple[str, str]],
-    processes: int | None,
-    worker_timeout: float | None,
-) -> tuple[list[tuple[str, object]], list[tuple[str, str]], BaseException | None]:
-    """One execution attempt: ``(completed pairs, lost tasks, last error)``."""
-    if processes == 1 or len(tasks) <= 1:
-        try:
-            return _run_shard(tasks), [], None
-        except faults.InjectedFault as exc:
-            return [], list(tasks), exc
-    ctx = mp.get_context("spawn")  # fork-safety with BLAS threads
-    workers = processes if processes is not None else min(len(tasks), ctx.cpu_count() or 1)
-    workers = max(1, min(workers, len(tasks)))
-    if workers == 1:
-        try:
-            return _run_shard(tasks), [], None
-        except faults.InjectedFault as exc:
-            return [], list(tasks), exc
-    shards = [tasks[offset::workers] for offset in range(workers)]
-    completed: list[tuple[str, object]] = []
-    lost: list[tuple[str, str]] = []
-    last_error: BaseException | None = None
-    # A fresh pool per attempt: after a crash the old pool is broken, and
-    # after a stall its worker is wedged — respawning is the recovery.
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-    try:
-        futures = {pool.submit(_run_shard, shard): shard for shard in shards}
-        finished, unfinished = wait(
-            futures, timeout=worker_timeout, return_when=FIRST_EXCEPTION
+    def start(self) -> None:
+        """(Re)open the tier and spawn the pool now, so it warms up before work."""
+        self._closed = False
+        if self.workers and self._pool is None:
+            import asyncio
+
+            self._slots = asyncio.Semaphore(self.workers)
+            self._spawn(initializer=None)
+
+    def close(self) -> None:
+        """Shut the pool down; runs raise :class:`WorkerPoolError` until :meth:`start`."""
+        self._closed = True
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
+
+    def _spawn(self, initializer) -> None:
+        import asyncio
+
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=mp.get_context("spawn"),  # fork-safety with BLAS threads
+            initializer=initializer,
         )
-        # FIRST_EXCEPTION returns early when a shard dies; shards still in
-        # flight at that point (or past the stall timeout) count as lost
-        # and retry — their tasks are pure, so nothing is double-counted.
-        for future in finished:
-            try:
-                completed.extend(future.result())
-            except (BrokenProcessPool, faults.InjectedFault) as exc:
-                last_error = exc
-                lost.extend(futures[future])
-        for future in unfinished:
-            if last_error is None:
-                last_error = TimeoutError(
-                    f"shard stalled past worker_timeout={worker_timeout}s"
-                )
-            lost.extend(futures[future])
-    finally:
+        loop = asyncio.get_running_loop()
+        self._warm = asyncio.gather(
+            *(loop.run_in_executor(self._pool, _warm) for _ in range(self.workers))
+        )
+        # A failed warm-up surfaces through the runs awaiting it; retrieve
+        # it here too, so a pool that no run awaited does not log it.
+        self._warm.add_done_callback(lambda warm: warm.cancelled() or warm.exception())
+
+    def _respawn(self, pool: ProcessPoolExecutor) -> None:
+        """Replace ``pool`` after it died or stalled, unless a sibling already did.
+
+        The replacement runs with :mod:`repro.faults` disarmed: an armed
+        plan describes one incident, not one per replacement worker.
+        """
+        if pool is None or pool is not self._pool or self._closed:
+            return
         pool.shutdown(wait=False, cancel_futures=True)
-    return completed, lost, last_error
+        self._spawn(initializer=faults.disarm)
+
+    async def run(
+        self, shard: list[tuple[str, str]], retries: dict[str, int] | None = None
+    ) -> list[tuple[str, object]]:
+        """Execute one shard of ``(key, spec_json)`` tasks; returns ``_run_shard``'s pairs.
+
+        Each retry of a lost attempt adds one per key to ``retries`` (when
+        given) and to :attr:`retried`; :class:`WorkerPoolError` once
+        ``max_attempts`` attempts are lost.
+        """
+        import asyncio
+
+        # Deterministic jitter keyed on the content address: replayable
+        # schedules, uncorrelated across concurrent shards.
+        jitter = random.Random(shard[0][0])
+        last: BaseException | None = None
+        for attempt in range(self.max_attempts):
+            if attempt:
+                self.retried += len(shard)
+                if retries is not None:
+                    for key, _ in shard:
+                        retries[key] = retries.get(key, 0) + 1
+                await asyncio.sleep(backoff_delay(attempt - 1, jitter))
+            if self._closed:
+                raise WorkerPoolError("the worker tier is closed")
+            self.start()
+            pool = None
+            try:
+                if not self.workers:
+                    return [
+                        pair
+                        for task in shard
+                        for pair in await asyncio.to_thread(_run_shard, [task])
+                    ]
+                async with self._slots:
+                    if self._closed:
+                        raise WorkerPoolError("the worker tier is closed")
+                    pool, warm = self._pool, self._warm
+                    await asyncio.shield(warm)
+                    if pool is not self._pool:
+                        raise _PoolReplaced("the pool was replaced during its warm-up")
+                    # The stall clock starts here, on a warm pool with a free
+                    # worker: spawn, imports and queueing never count as a stall.
+                    return await asyncio.wait_for(
+                        asyncio.get_running_loop().run_in_executor(pool, _run_shard, shard),
+                        self.worker_timeout,
+                    )
+            except asyncio.CancelledError:
+                if asyncio.current_task().cancelling():
+                    raise  # the caller's own cancellation: deadline or teardown
+                last = _PoolReplaced("a respawn cancelled the task")
+            except faults.InjectedFault as exc:
+                last = exc  # a soft crash: the worker survived it
+            except (BrokenProcessPool, TimeoutError, _PoolReplaced) as exc:
+                last = exc
+                self._respawn(pool)
+        raise WorkerPoolError(
+            f"worker execution of {len(shard)} task(s) failed after "
+            f"{self.max_attempts} attempts"
+        ) from last
+
+    async def run_all(
+        self, tasks: list[tuple[str, str]], retries: dict[str, int] | None = None
+    ) -> list[tuple[str, object]]:
+        """Shard ``tasks`` over the workers and run the shards concurrently."""
+        import asyncio
+
+        width = max(1, self.workers)
+        done = await asyncio.gather(
+            *(self.run(tasks[offset::width], retries) for offset in range(width))
+        )
+        return [pair for pairs in done for pair in pairs]

@@ -7,8 +7,8 @@ read-heavy, content-addressed workload.  This package puts a socket in
 front of that fact with **no new runtime dependency**: the HTTP/1.1
 framing is hand-rolled on :mod:`asyncio` streams (:mod:`.http`), requests
 validate through the same strict ``ScenarioSpec.from_dict`` the library
-uses everywhere, cache misses run on a spawn-context process-pool worker
-tier sharing :mod:`repro.serve.executor`'s stateless-worker discipline,
+uses everywhere, cache misses run on the same
+:class:`~repro.serve.executor.WorkerTier` as ``run_batch``,
 concurrent duplicate requests coalesce onto one run, and a
 consistent-hash :class:`~repro.service.sharding.ShardMap` over the cache
 key routes toward the multi-host story.

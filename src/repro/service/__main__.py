@@ -155,12 +155,16 @@ async def _serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def serve(args: argparse.Namespace) -> int:
+    """Run the service for parsed :func:`build_parser` options until stopped."""
     try:
         return asyncio.run(_serve(args))
     except KeyboardInterrupt:
         return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return serve(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

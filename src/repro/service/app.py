@@ -13,14 +13,13 @@ straight pipeline::
 
 Two concurrent requests for the same key run the simulation **once**:
 the first becomes the owner of an in-flight future, later arrivals await
-it (``source: "coalesced"``, counted in ``/v1/stats``).  Workers reuse
-:func:`repro.serve.executor._run_shard` — the same stateless
-spec-JSON-in, result-out discipline as ``run_batch`` — over a
-spawn-context :class:`~concurrent.futures.ProcessPoolExecutor`;
-``workers=0`` executes misses on threads in-process (the
-dependency-light mode used by tests and the smoke harness).  Blocking
-cache I/O runs via :func:`asyncio.to_thread`, which is what the
-:class:`ResultCache` locking added alongside this module makes safe.
+it (``source: "coalesced"``, counted in ``/v1/stats``).  A miss runs on
+the service's :class:`~repro.serve.executor.WorkerTier` — the same tier,
+task function and retry loop as ``run_batch``: a spawn-context process
+pool of stateless workers for ``workers >= 1``, in-process threads for
+``workers=0`` (the dependency-light mode used by tests and the smoke
+harness).  Blocking cache I/O runs via :func:`asyncio.to_thread`, which
+is what the :class:`ResultCache` locking makes safe.
 
 Resilience (all deterministic under :mod:`repro.faults`, exercised by
 the chaos smoke in CI):
@@ -32,9 +31,12 @@ the chaos smoke in CI):
   instead of stranding them;
 * **worker recovery** — a crashed (``BrokenProcessPool``) or stalled
   (``worker_timeout``) worker loses one attempt, not the request: the
-  pool is respawned and the task retried with exponential backoff +
-  jitter up to ``worker_attempts`` times (results are pure functions of
-  the spec, so retries are bit-identical);
+  tier respawns the pool and retries the task with exponential backoff +
+  jitter, up to ``worker_attempts`` attempts (results are pure functions
+  of the spec, so retries are bit-identical).  Other requests' tasks
+  that the respawn cancels retry too; they are never cancelled
+  themselves.  The stall clock starts once the pool is warm, so a fresh
+  worker's start-up never counts as a stall;
 * **backpressure** — ``max_in_flight`` caps concurrent work; excess
   requests are shed with 429 + ``Retry-After`` (counted in ``/v1/stats``
   under ``shed``) rather than queued without bound;
@@ -49,15 +51,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import multiprocessing as mp
-import random
 import re
 import threading
 import time
 from bisect import bisect_left
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -67,12 +65,11 @@ from ..scenario import ScenarioSpec
 from ..serve.cache import ResultCache, cache_key
 from ..serve.envelope import EnvelopeError, error_envelope, prepare_spec
 from ..serve.executor import (
+    DEFAULT_MAX_ATTEMPTS,
     FROM_CACHE,
     FROM_DEDUP,
     FROM_RUN,
-    WorkerPoolError,
-    _run_shard,
-    backoff_delay,
+    WorkerTier,
 )
 from .http import HttpError, Request, encode_response, read_request
 from .sharding import ShardMap
@@ -90,11 +87,6 @@ DEFAULT_MAX_BODY = 8 << 20
 #: Upper bound on memoised validations (canonical spec JSON strings);
 #: far above any realistic working set, small enough to bound memory.
 VALIDATION_MEMO_ENTRIES = 4096
-
-#: Retry policy defaults for the worker tier (crash/stall recovery).  8
-#: attempts puts exhaustion under an injected crash probability of 0.2 at
-#: ~2.6e-6 per request — the chaos smoke's zero-5xx assertion is sound.
-DEFAULT_WORKER_ATTEMPTS = 8
 
 #: Work endpoints: the routes that execute simulations, and therefore the
 #: ones deadlines bound and backpressure sheds.  Health, stats and cached
@@ -214,8 +206,8 @@ class ScenarioService:
     workers:
         Process-pool width for cache misses.  ``0`` (default) executes
         misses on in-process threads — no pool start-up cost, the right
-        mode for tests and smoke runs; ``>= 1`` starts a spawn-context
-        pool of stateless workers on :meth:`start`.
+        mode for tests and smoke runs; ``>= 1`` spawns a pool of stateless
+        workers on :meth:`start` and warms it up in the background.
     shards:
         Node names for the consistent-hash ring (default: just
         ``shard_self``).  ``shard_self`` must be listed; requests whose
@@ -233,11 +225,10 @@ class ScenarioService:
         of queueing without bound.
     worker_attempts:
         Total attempts per run before a crashed/stalled worker tier gives
-        up with a 500 (each retry respawns the pool and backs off with
-        jitter).
+        up with a 500 (each retry backs off with jitter).
     worker_timeout:
-        Seconds to wait for one worker attempt before declaring it
-        stalled and retrying on a fresh pool (``None``: wait forever —
+        Seconds one attempt may run on a warm pool before it counts as
+        stalled and retries on a fresh pool (``None``: wait forever —
         rely on the request deadline instead).
     """
 
@@ -251,19 +242,16 @@ class ScenarioService:
         max_body: int = DEFAULT_MAX_BODY,
         deadline_seconds: float | None = None,
         max_in_flight: int = 0,
-        worker_attempts: int = DEFAULT_WORKER_ATTEMPTS,
+        worker_attempts: int = DEFAULT_MAX_ATTEMPTS,
         worker_timeout: float | None = None,
     ):
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
         if deadline_seconds is not None and deadline_seconds <= 0:
             raise ValueError(f"deadline_seconds must be > 0, got {deadline_seconds}")
         if max_in_flight < 0:
             raise ValueError(f"max_in_flight must be >= 0, got {max_in_flight}")
-        if worker_attempts < 1:
-            raise ValueError(f"worker_attempts must be >= 1, got {worker_attempts}")
-        if worker_timeout is not None and worker_timeout <= 0:
-            raise ValueError(f"worker_timeout must be > 0, got {worker_timeout}")
+        self._tier = WorkerTier(
+            workers, max_attempts=worker_attempts, worker_timeout=worker_timeout
+        )
         self.cache = cache
         self.workers = int(workers)
         self.shard_self = shard_self
@@ -275,9 +263,6 @@ class ScenarioService:
         self.max_body = int(max_body)
         self.deadline_seconds = None if deadline_seconds is None else float(deadline_seconds)
         self.max_in_flight = int(max_in_flight)
-        self.worker_attempts = int(worker_attempts)
-        self.worker_timeout = None if worker_timeout is None else float(worker_timeout)
-        self._pool: ProcessPoolExecutor | None = None
         self._server: asyncio.AbstractServer | None = None
         self._inflight: dict[str, asyncio.Future] = {}
         self._draining = False
@@ -295,18 +280,19 @@ class ScenarioService:
         self.remote_shard_requests = 0
         self.shed = 0
         self.deadline_hits = 0
-        self.worker_retries = 0
         self.dropped_connections = 0
         self._started_at = time.monotonic()
+
+    @property
+    def worker_retries(self) -> int:
+        """Task re-executions after lost worker attempts (``/v1/stats``)."""
+        return self._tier.retried
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """Bind and start serving; returns the bound ``(host, port)``."""
-        if self.workers > 0 and self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=mp.get_context("spawn")
-            )
+        self._tier.start()
         self._server = await asyncio.start_server(self._handle_connection, host, port)
         self._started_at = time.monotonic()
         bound = self._server.sockets[0].getsockname()
@@ -321,9 +307,7 @@ class ScenarioService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        self._tier.close()
 
     async def drain(self, grace: float = 10.0) -> bool:
         """Graceful shutdown: stop accepting, finish in-flight, then close.
@@ -345,15 +329,6 @@ class ScenarioService:
         drained = self.in_flight == 0
         await self.close()
         return drained
-
-    def _respawn_pool(self) -> None:
-        """Replace a broken or stalled worker pool with a fresh one."""
-        if self._pool is None:
-            return
-        self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=mp.get_context("spawn")
-        )
 
     # -- connection / dispatch ----------------------------------------------
 
@@ -546,55 +521,18 @@ class ScenarioService:
             del self._inflight[key]
 
     async def _execute(self, key: str, spec: ScenarioSpec) -> EnsembleResult:
-        """Run one miss through the worker tier (stateless ``_run_shard`` task).
+        """Run one miss on the worker tier as a one-task shard.
 
-        Survives worker death and stalls: each failed attempt respawns the
-        pool and retries after jittered exponential backoff, up to
-        ``worker_attempts`` total.  A retry is safe by construction — the
-        result is a pure function of the spec, so the bits are identical
-        whichever attempt produces them.  A *deterministic* spec failure
-        (the worker returned an error envelope) never retries; it is
-        re-raised typed so the envelope reaches the wire unchanged.
+        The tier absorbs worker crashes and stalls (see
+        :class:`~repro.serve.executor.WorkerTier`).  A *deterministic*
+        spec failure (the worker returned an error envelope) never
+        retries; it is re-raised typed so the envelope reaches the wire
+        unchanged.
         """
-        shard = [(key, spec.to_json(indent=None))]
-        # Deterministic jitter keyed on the content address: replayable
-        # schedules, uncorrelated across concurrent requests.
-        jitter = random.Random(int(key[:16], 16))
-        last: BaseException | None = None
-        for attempt in range(self.worker_attempts):
-            if attempt:
-                self.worker_retries += 1
-                await asyncio.sleep(backoff_delay(attempt - 1, jitter))
-            try:
-                if self._pool is not None:
-                    waiter = asyncio.get_running_loop().run_in_executor(
-                        self._pool, _run_shard, shard
-                    )
-                    if self.worker_timeout is not None:
-                        pairs = await asyncio.wait_for(
-                            asyncio.shield(waiter), self.worker_timeout
-                        )
-                    else:
-                        pairs = await waiter
-                else:
-                    pairs = await asyncio.to_thread(_run_shard, shard)
-            except (BrokenProcessPool, faults.InjectedFault) as exc:
-                last = exc
-                self._respawn_pool()
-                continue
-            except TimeoutError:
-                last = TimeoutError(
-                    f"worker stalled past worker_timeout={self.worker_timeout}s"
-                )
-                self._respawn_pool()  # the stalled worker is wedged; replace it
-                continue
-            payload = pairs[0][1]
-            if isinstance(payload, dict):  # per-item error envelope from the worker
-                raise EnvelopeError(payload)
-            return payload
-        raise WorkerPoolError(
-            f"worker execution failed after {self.worker_attempts} attempts"
-        ) from last
+        [(_key, payload)] = await self._tier.run([(key, spec.to_json(indent=None))])
+        if isinstance(payload, dict):  # per-item error envelope from the worker
+            raise EnvelopeError(payload)
+        return payload
 
     # -- handlers ------------------------------------------------------------
 
@@ -639,8 +577,8 @@ class ScenarioService:
                 "deadline_ms": None
                 if self.deadline_seconds is None
                 else round(self.deadline_seconds * 1e3, 3),
-                "worker_attempts": self.worker_attempts,
-                "worker_timeout_s": self.worker_timeout,
+                "worker_attempts": self._tier.max_attempts,
+                "worker_timeout_s": self._tier.worker_timeout,
             },
             "faults": faults.describe(),
             "cache": cache_stats,

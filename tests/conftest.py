@@ -17,6 +17,12 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a test that takes seconds (paper-scale runs, spawned pools)"
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Fresh deterministic generator per test."""

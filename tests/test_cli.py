@@ -392,3 +392,19 @@ class TestLoadCommand:
         args = build_parser().parse_args(["serve", "--port", "0"])
         assert args.host == "127.0.0.1"
         assert args.workers == 0
+
+    def test_serve_keeps_shard_self_without_shards(self, monkeypatch):
+        # `repro serve` hands the service every option it parsed, including
+        # --shard-self when no --shards ring is given.
+        import repro.service.__main__ as service_main
+
+        seen = {}
+
+        async def fake_serve(args):
+            seen.update(vars(args))
+            return 0
+
+        monkeypatch.setattr(service_main, "_serve", fake_serve)
+        assert main(["serve", "--port", "0", "--shard-self", "a"]) == 0
+        assert seen["shard_self"] == "a"
+        assert seen["shards"] is None

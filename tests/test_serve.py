@@ -640,6 +640,70 @@ class TestExecutorResilience:
         with pytest.raises(faults.InjectedWorkerCrash):
             _run_shard([(cache_key(spec), spec.to_json(indent=None))])
 
+    @pytest.mark.slow
+    def test_hard_crash_in_spawned_pool_retries_bit_identical(self, monkeypatch):
+        # A real BrokenProcessPool: each first-generation worker dies on its
+        # first task (the plan reaches spawned workers through the
+        # environment).  The replacement pool runs disarmed, so every lost
+        # task retries exactly once and the bits match the inline run.
+        from repro import faults
+
+        specs = [small_spec(seed=seed) for seed in range(4)]
+        baseline = run_batch(specs, processes=1)
+        plan = {
+            "rules": [
+                {
+                    "point": "executor.worker-crash",
+                    "nth": 1,
+                    "times": 1,
+                    "params": {"hard": True},
+                }
+            ]
+        }
+        monkeypatch.setenv(faults.ENV_VAR, json.dumps(plan))
+        report = run_batch(specs, processes=2)
+        assert report.errors == [None] * 4
+        assert report.retries == {key: 1 for key in report.keys}
+        for fresh, inline in zip(report.results, baseline.results):
+            assert_results_identical(fresh, inline)
+
+    @pytest.mark.slow
+    def test_stalled_pool_worker_retries_after_worker_timeout(self, monkeypatch):
+        # Each first-generation worker stalls on its first task; the stall
+        # clock (started once the pool is warm, so spawn and imports never
+        # count) declares both shards lost and they retry on a fresh pool.
+        from repro import faults
+
+        specs = [small_spec(seed=seed) for seed in range(2)]
+        baseline = run_batch(specs, processes=1)
+        plan = {
+            "rules": [
+                {"point": "executor.worker-stall", "nth": 1, "params": {"seconds": 5.0}}
+            ]
+        }
+        monkeypatch.setenv(faults.ENV_VAR, json.dumps(plan))
+        report = run_batch(specs, processes=2, worker_timeout=1.0)
+        assert report.errors == [None, None]
+        assert report.retries == {key: 1 for key in report.keys}
+        for fresh, inline in zip(report.results, baseline.results):
+            assert_results_identical(fresh, inline)
+
+    def test_run_batch_inside_running_event_loop(self):
+        # Async callers (a notebook kernel, a coroutine) get the same
+        # synchronous contract: the tier runs on a helper thread.
+        import asyncio
+
+        specs = [small_spec(seed=seed) for seed in range(2)]
+        baseline = run_batch(specs, processes=1)
+
+        async def inside_a_loop():
+            return run_batch(specs, processes=1)
+
+        report = asyncio.run(inside_a_loop())
+        assert report.sources == ["run", "run"]
+        for fresh, inline in zip(report.results, baseline.results):
+            assert_results_identical(fresh, inline)
+
     def test_backoff_delay_deterministic_and_capped(self):
         import random
 

@@ -4,6 +4,7 @@ the load harness, and end-to-end bit-identity against the library."""
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import threading
 import time
@@ -751,6 +752,122 @@ class TestServiceResilience:
         ):
             assert field in stats
         assert stats["faults"] is None  # no plan armed on the shared server
+
+
+def _post_once(port: int, body: dict) -> tuple[int, dict]:
+    """One POST on its own connection, never resent (unlike ServiceClient)."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+    try:
+        connection.request(
+            "POST",
+            "/v1/simulate",
+            json.dumps(body),
+            {"Content-Type": "application/json", "Connection": "close"},
+        )
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestWorkerPoolResilience:
+    """Recovery on a real spawned pool (``workers=1``), not in-process threads."""
+
+    @pytest.fixture(autouse=True)
+    def _disarmed(self):
+        from repro import faults
+
+        faults.disarm()
+        yield
+        faults.disarm()
+
+    @pytest.mark.slow
+    def test_stall_clock_starts_after_worker_start_up(self):
+        # A fresh worker spends seconds on spawn and imports before its
+        # first task; none of that may count against worker_timeout.
+        service = ScenarioService(cache=ResultCache(None), workers=1, worker_timeout=1.0)
+        with BackgroundServer(service) as srv:
+            status, payload = _post_once(srv.port, spec_dict(seed=61))
+        assert status == 200, payload
+        assert payload["source"] == "run"
+        assert service.worker_retries == 0
+
+    @pytest.mark.slow
+    def test_queued_misses_never_count_as_stalled(self, monkeypatch):
+        # Five concurrent misses on one worker, each held 0.6 s by the
+        # stall point: the last finishes ~3 s after submission, well past
+        # worker_timeout, yet each ran for well under it.  Only running
+        # time counts, so no task is mistaken for a stalled one.
+        from repro import faults
+
+        plan = {
+            "rules": [
+                {
+                    "point": "executor.worker-stall",
+                    "probability": 1.0,
+                    "params": {"seconds": 0.6},
+                }
+            ]
+        }
+        monkeypatch.setenv(faults.ENV_VAR, json.dumps(plan))
+        service = ScenarioService(cache=ResultCache(None), workers=1, worker_timeout=2.0)
+        statuses: list[object] = []
+
+        def one_request(seed: int) -> None:
+            try:
+                statuses.append(_post_once(srv.port, spec_dict(seed=seed))[0])
+            except Exception as exc:  # noqa: BLE001 — surfaced via the assert
+                statuses.append(exc)
+
+        with BackgroundServer(service) as srv:
+            assert _post_once(srv.port, spec_dict(seed=80))[0] == 200  # warm pool
+            threads = [
+                threading.Thread(target=one_request, args=(seed,))
+                for seed in range(81, 86)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        assert statuses == [200] * 5
+        assert service.worker_retries == 0
+
+    @pytest.mark.slow
+    def test_respawn_never_cancels_sibling_requests(self, monkeypatch):
+        # The worker's second task stalls and the pool is respawned while
+        # four sibling requests wait for it.  Each of them must still get
+        # its reply: a respawn may cost a sibling an attempt, never its
+        # request (a cancelled task would leave the connection unanswered).
+        from repro import faults
+
+        plan = {
+            "rules": [
+                {"point": "executor.worker-stall", "nth": 2, "params": {"seconds": 6.0}}
+            ]
+        }
+        monkeypatch.setenv(faults.ENV_VAR, json.dumps(plan))
+        service = ScenarioService(cache=ResultCache(None), workers=1, worker_timeout=2.0)
+        outcomes: list[object] = []
+
+        def one_request(seed: int) -> None:
+            try:
+                outcomes.append(_post_once(srv.port, spec_dict(seed=seed))[0])
+            except Exception as exc:  # noqa: BLE001 — surfaced via the assert
+                outcomes.append(exc)
+
+        with BackgroundServer(service) as srv:
+            assert _post_once(srv.port, spec_dict(seed=70))[0] == 200  # first task
+            threads = [
+                threading.Thread(target=one_request, args=(seed,))
+                for seed in range(71, 76)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        assert outcomes == [200] * 5
+        assert service.worker_retries >= 1  # the stall did fire
+        assert service._inflight == {}
 
 
 class TestClientResilience:
