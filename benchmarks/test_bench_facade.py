@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 
 from repro import RecordSpec, ScenarioSpec, ThreeMajority, run_ensemble, simulate_ensemble
-from repro.experiments.workloads import paper_biased
+from repro.core.workloads import paper_biased
 
 N, K, REPLICAS, MAX_ROUNDS, SEED = 200_000, 16, 64, 2_000, 7
 

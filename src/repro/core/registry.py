@@ -3,7 +3,7 @@
 A :class:`~repro.scenario.ScenarioSpec` refers to dynamics, initial
 configurations, adversaries and stopping rules *by name*; these registries
 resolve the names back to the concrete classes and factory functions of
-:mod:`repro.core` and :mod:`repro.experiments.workloads`.  Four instances
+:mod:`repro.core` (including :mod:`repro.core.workloads`).  Six instances
 exist:
 
 * :data:`DYNAMICS` — every dynamics class and 3-input-rule factory,
@@ -28,7 +28,10 @@ Entries are added with the :meth:`Registry.register` decorator at module
 import time; :meth:`Registry.build` validates the parameter dict against
 the factory's signature *before* calling it, so a scenario file with a
 misspelled parameter fails with a message naming the accepted ones instead
-of a bare ``TypeError`` from deep inside a constructor.
+of a bare ``TypeError`` from deep inside a constructor.  An entry may also
+carry a cheap ``check`` of its parameter *values*; :meth:`Registry.check`
+runs the signature and value checks without calling the factory, which is
+how a topology spec validates without building its graph.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ class RegistryEntry:
     name: str
     factory: Callable[..., object]
     summary: str
+    check: Callable[..., object] | None = None
 
     @property
     def signature(self) -> inspect.Signature:
@@ -91,8 +95,20 @@ class Registry:
 
     # -- population ----------------------------------------------------------
 
-    def register(self, name: str, *, summary: str | None = None):
-        """Decorator: file the decorated class/function under ``name``."""
+    def register(
+        self,
+        name: str,
+        *,
+        summary: str | None = None,
+        check: Callable[..., object] | None = None,
+    ):
+        """Decorator: file the decorated class/function under ``name``.
+
+        ``check``, if given, validates parameter values without building
+        anything: :meth:`check` calls it with the factory's arguments,
+        defaults filled in, and it raises ``ValueError`` on a bad value.
+        The factory should call it first too, so the rules live in one place.
+        """
         if not name or not isinstance(name, str):
             raise ValueError(f"{self.kind} registry needs a non-empty string name")
 
@@ -100,7 +116,10 @@ class Registry:
             if name in self._entries:
                 raise ValueError(f"{self.kind} {name!r} is already registered")
             self._entries[name] = RegistryEntry(
-                name=name, factory=factory, summary=summary or _first_doc_line(factory)
+                name=name,
+                factory=factory,
+                summary=summary or _first_doc_line(factory),
+                check=check,
             )
             return factory
 
@@ -132,19 +151,37 @@ class Registry:
 
     # -- construction ---------------------------------------------------------
 
-    def build(self, name: str, /, *args, **params) -> object:
-        """Resolve ``name`` and call its factory with validated parameters."""
+    def _bind(
+        self, name: str, args: tuple, params: dict
+    ) -> tuple[RegistryEntry, inspect.BoundArguments]:
         entry = self.get(name)
         if not all(isinstance(key, str) for key in params):
             raise ValueError(f"{self.kind} {name!r} parameters must have string keys")
         try:
-            entry.signature.bind(*args, **params)
+            return entry, entry.signature.bind(*args, **params)
         except TypeError as exc:
             raise ValueError(
                 f"invalid parameters for {self.kind} {name!r}: {exc} "
                 f"(accepted: {', '.join(entry.parameter_names())})"
             ) from exc
+
+    def build(self, name: str, /, *args, **params) -> object:
+        """Resolve ``name`` and call its factory with validated parameters."""
+        entry, _ = self._bind(name, args, params)
         return entry.factory(*args, **params)
+
+    def check(self, name: str, /, *args, **params) -> None:
+        """Validate ``name`` and parameters as :meth:`build` does, without building.
+
+        Checks the name and the parameter names against the factory's
+        signature and, when the entry was registered with a ``check``, the
+        parameter values (defaults filled in).  For such an entry, input
+        that passes here builds without raising.
+        """
+        entry, bound = self._bind(name, args, params)
+        if entry.check is not None:
+            bound.apply_defaults()
+            entry.check(*bound.args, **bound.kwargs)
 
     def __repr__(self) -> str:
         return f"Registry(kind={self.kind!r}, names={self.names()})"

@@ -1,4 +1,4 @@
-"""Initial-configuration generators for the experiment suite.
+"""Initial-configuration generators: the entries of the WORKLOADS registry.
 
 Each generator builds the exact family of configurations a theorem or
 lemma of the paper quantifies over:
@@ -32,9 +32,9 @@ import math
 
 import numpy as np
 
-from ..core.config import Configuration
-from ..core.registry import WORKLOADS
-from ..core.rng import make_rng
+from .config import Configuration
+from .registry import WORKLOADS
+from .rng import make_rng
 
 __all__ = [
     "paper_biased",

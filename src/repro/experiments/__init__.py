@@ -1,12 +1,6 @@
 """Experiment suite: one module per paper claim (see DESIGN.md §4)."""
 
-from .harness import SCALES, ExperimentSpec, SweepPoint, ensemble_at, grid, sweep
-from .figures import FIGURES, figure_ids, render_figure
-from .parallel import parallel_sweep
-from .plotting import ascii_plot
-from .registry import ALL_EXPERIMENTS, experiment_ids, get_experiment
-from .results import ResultTable
-from .workloads import (
+from ..core.workloads import (
     corollary3_start,
     geometric_tail,
     lemma8_start,
@@ -17,6 +11,12 @@ from .workloads import (
     theorem2_start,
     theorem4_start,
 )
+from .harness import SCALES, ExperimentSpec, SweepPoint, ensemble_at, grid, sweep
+from .figures import FIGURES, figure_ids, render_figure
+from .parallel import parallel_sweep
+from .plotting import ascii_plot
+from .registry import ALL_EXPERIMENTS, experiment_ids, get_experiment
+from .results import ResultTable
 
 __all__ = [
     "ALL_EXPERIMENTS",

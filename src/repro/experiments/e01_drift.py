@@ -29,9 +29,9 @@ from ..core.config import Configuration
 from ..core.majority import ThreeMajority
 from ..core.process import run_ensemble
 from ..core.rng import derive_seed
+from ..core.workloads import geometric_tail, paper_biased
 from .harness import ExperimentSpec
 from .results import ResultTable
-from .workloads import geometric_tail, paper_biased
 
 _SCALE = {
     "smoke": dict(ns=[2_000], replicas=400),

@@ -29,9 +29,9 @@ import math
 from ..analysis.bounds import lambda_for, theorem1_rounds
 from ..analysis.fitting import linear_fit_through_predictor, power_law_fit
 from ..scenario import ScenarioSpec
+from ..core.workloads import paper_biased
 from .harness import ExperimentSpec, sweep
 from .results import ResultTable
-from .workloads import paper_biased
 
 _SCALE = {
     "smoke": dict(n_fixed=20_000, ks=[2, 4, 8], k_fixed=4, ns=[10_000, 40_000], replicas=8, max_rounds=4_000),

@@ -22,9 +22,9 @@ import math
 
 from ..analysis.fitting import linear_fit_through_predictor
 from ..scenario import ScenarioSpec
+from ..core.workloads import corollary3_start
 from .harness import ExperimentSpec, sweep
 from .results import ResultTable
-from .workloads import corollary3_start
 
 _SCALE = {
     "smoke": dict(ns=[5_000, 20_000], beta=3.0, k=20, replicas=8, max_rounds=2_000),

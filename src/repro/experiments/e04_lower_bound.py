@@ -30,9 +30,9 @@ from ..analysis.fitting import power_law_fit
 from ..core.majority import ThreeMajority
 from ..core.process import run_process
 from ..core.rng import derive_seed
+from ..core.workloads import theorem2_start
 from .harness import ExperimentSpec
 from .results import ResultTable
-from .workloads import theorem2_start
 
 _SCALE = {
     "smoke": dict(n=20_000, ks=[3, 5, 8], replicas=4, eps=0.25, max_rounds=20_000),

@@ -40,9 +40,9 @@ from ..core.threeinput import (
     min_rule,
     skewed_rule,
 )
+from ..core.workloads import lemma8_start
 from .harness import ExperimentSpec, sweep
 from .results import ResultTable
-from .workloads import lemma8_start
 
 _SCALE = {
     "smoke": dict(n=3_000, replicas=24, max_rounds=3_000),

@@ -28,9 +28,9 @@ from ..analysis.fitting import power_law_fit
 from ..core.majority import HPlurality
 from ..core.process import run_process
 from ..core.rng import derive_seed
+from ..core.workloads import theorem4_start
 from .harness import ExperimentSpec
 from .results import ResultTable
-from .workloads import theorem4_start
 
 _SCALE = {
     "smoke": dict(n=4_000, k=16, hs=[3, 5, 8], replicas=4, max_rounds=4_000),

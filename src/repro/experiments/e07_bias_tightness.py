@@ -30,9 +30,9 @@ from ..analysis.fitting import wilson_interval
 from ..core.majority import ThreeMajority
 from ..core.process import run_ensemble
 from ..core.rng import derive_seed
+from ..core.workloads import lemma10_start
 from .harness import ExperimentSpec
 from .results import ResultTable
-from .workloads import lemma10_start
 
 _SCALE = {
     "smoke": dict(n=10_000, ks=[4, 16], alphas=[1.0, 4.0], replicas=2_000),

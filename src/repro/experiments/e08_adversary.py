@@ -34,9 +34,9 @@ from ..analysis.bounds import lambda_for
 from ..core.adversary import TargetedAdversary
 from ..core.majority import ThreeMajority
 from ..core.rng import derive_seed
+from ..core.workloads import paper_biased, theorem1_bias
 from .harness import ExperimentSpec
 from .results import ResultTable
-from .workloads import paper_biased, theorem1_bias
 
 _SCALE = {
     "smoke": dict(n=10_000, k=8, fractions=[0.0, 0.2, 1.0], replicas=4, budget_mult=4.0, hold=30),

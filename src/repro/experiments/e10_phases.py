@@ -35,9 +35,9 @@ from ..analysis.distance import (
 from ..core.majority import ThreeMajority
 from ..core.process import run_process
 from ..core.rng import derive_seed
+from ..core.workloads import paper_biased
 from .harness import ExperimentSpec
 from .results import ResultTable
-from .workloads import paper_biased
 
 _SCALE = {
     "smoke": dict(points=[(20_000, 8)], replicas=3, max_rounds=5_000),

@@ -21,9 +21,9 @@ from collections.abc import Callable
 
 from ..core.majority import ThreeMajority
 from ..core.process import run_process
+from ..core.workloads import paper_biased
 from .plotting import ascii_plot
 from .registry import get_experiment
-from .workloads import paper_biased
 
 __all__ = ["FIGURES", "figure_ids", "render_figure"]
 

@@ -23,6 +23,8 @@ cache relies on.
 
 from __future__ import annotations
 
+import itertools
+
 import networkx as nx
 import numpy as np
 
@@ -73,12 +75,23 @@ class Topology:
         via ``bincount``, offsets via its cumulative sum, neighbors sorted
         by ``(node, neighbor)`` — each node's pool comes out ascending,
         the same ordering contract as the historical per-node loop.
+
+        A graph whose node set is already ``0..n-1`` (every generator here
+        but the torus) is read in place; any other labelling is first
+        relabelled in sorted order, a full copy of the graph.  The sort
+        makes the result independent of edge order, so both paths pack
+        the same graph into identical arrays.
         """
-        if graph.number_of_nodes() == 0:
-            raise ValueError("empty graph")
-        graph = nx.convert_node_labels_to_integers(graph, ordering="sorted")
         n = graph.number_of_nodes()
-        edges = np.asarray(list(graph.edges()), dtype=np.int64).reshape(-1, 2)
+        if n == 0:
+            raise ValueError("empty graph")
+        if set(graph) == set(range(n)):
+            flat = itertools.chain.from_iterable(graph.edges())
+            edges = np.fromiter(flat, dtype=np.int64, count=2 * graph.number_of_edges())
+        else:
+            graph = nx.convert_node_labels_to_integers(graph, ordering="sorted")
+            edges = np.asarray(list(graph.edges()), dtype=np.int64)
+        edges = edges.reshape(-1, 2)
         loop = edges[:, 0] == edges[:, 1]
         plain = edges[~loop]
         src_parts = [plain[:, 0], plain[:, 1], edges[loop, 0]]
@@ -168,6 +181,22 @@ def barbell(m: int, path: int = 0) -> Topology:
 # spec.  Parameter defaults are chosen so that `topology_params={}` is
 # always valid, and randomised generators key their graph on an explicit
 # integer `seed` parameter — part of the spec, hence of the cache key.
+#
+# Each entry registers a cheap `check` of its parameter values, which its
+# builder calls first: TOPOLOGIES.check (what ScenarioSpec.validate runs)
+# then rejects exactly what a build would reject, without generating the
+# graph.  Values are never coerced — {"d": 8.9} or {"d": "8"} would name
+# the graph of {"d": 8} under another cache key — so integer parameters
+# must be ints (not bools) and p a finite number in [0, 1].  A `None`
+# is accepted only where it is the declared default.
+
+
+def _int_param(topology: str, name: str, value: object, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{topology} parameter {name!r} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{topology} parameter {name!r} must be >= {minimum}, got {value}")
+    return value
 
 
 def _near_square(n: int) -> tuple[int, int]:
@@ -178,56 +207,132 @@ def _near_square(n: int) -> tuple[int, int]:
     return rows, n // rows
 
 
-@TOPOLOGIES.register("clique", summary="complete graph with self-loops (the paper's model)")
-def _topology_clique(n: int) -> Topology:
-    return clique(n)
+def _check_n(topology: str, n: int) -> None:
+    _int_param(topology, "n", n, 1)
 
 
-@TOPOLOGIES.register("cycle", summary="ring of n nodes (diameter n/2)")
-def _topology_cycle(n: int) -> Topology:
-    return cycle(n)
+def _check_clique(n: int) -> None:
+    _check_n("clique", n)
 
 
-@TOPOLOGIES.register("torus", summary="periodic rows x cols grid (near-square by default)")
-def _topology_torus(n: int, rows: int | None = None, cols: int | None = None) -> Topology:
+def _check_cycle(n: int) -> None:
+    _check_n("cycle", n)
+
+
+def _check_torus(n: int, rows: int | None, cols: int | None) -> tuple[int, int]:
+    """The ``(rows, cols)`` shape the torus builds (near-square by default)."""
+    _check_n("torus", n)
     if rows is None and cols is None:
-        rows, cols = _near_square(n)
-    elif rows is None:
-        rows = n // int(cols)
-    elif cols is None:
-        cols = n // int(rows)
-    rows, cols = int(rows), int(cols)
-    if rows < 1 or cols < 1 or rows * cols != n:
+        return _near_square(n)
+    if rows is not None:
+        _int_param("torus", "rows", rows, 1)
+    if cols is not None:
+        _int_param("torus", "cols", cols, 1)
+    rows = n // cols if rows is None else rows
+    cols = n // rows if cols is None else cols
+    if rows * cols != n:
         raise ValueError(f"torus needs rows*cols == n, got {rows}x{cols} != {n}")
-    return torus(rows, cols)
+    return rows, cols
 
 
-@TOPOLOGIES.register("random-regular", summary="uniform random d-regular graph (expander w.h.p.)")
-def _topology_random_regular(n: int, d: int = 8, seed: int = 0) -> Topology:
-    return random_regular(n, int(d), seed=int(seed))
+def _check_random_regular(n: int, d: int, seed: int) -> None:
+    _check_n("random-regular", n)
+    _int_param("random-regular", "d", d, 0)
+    _int_param("random-regular", "seed", seed, 0)
+    if d >= n:
+        raise ValueError(f"random-regular needs 0 <= d < n, got d={d}, n={n}")
+    if (n * d) % 2:
+        raise ValueError(f"random-regular needs n*d even, got n={n}, d={d}")
 
 
-@TOPOLOGIES.register("erdos-renyi", summary="G(n, p); p defaults to 2 ln(n)/n, near the connectivity threshold")
-def _topology_erdos_renyi(n: int, p: float | None = None, seed: int = 0) -> Topology:
+def _check_erdos_renyi(n: int, p: float | None, seed: int) -> float:
+    """The edge probability G(n, p) uses (``2 ln(n)/n`` capped at 1 by default)."""
+    _check_n("erdos-renyi", n)
+    _int_param("erdos-renyi", "seed", seed, 0)
     if p is None:
-        p = min(1.0, 2.0 * np.log(max(n, 2)) / n)
-    return erdos_renyi(n, float(p), seed=int(seed))
+        return float(min(1.0, 2.0 * np.log(max(n, 2)) / n))
+    if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"erdos-renyi parameter 'p' must be a number in [0, 1], got {p!r}")
+    if 0.0 < p and 1.0 - p == 1.0:
+        # networkx's geometric edge skipping divides by log(1 - p).
+        raise ValueError(f"erdos-renyi parameter 'p' is too small to sample (1 - p == 1), got {p!r}")
+    return float(p)
 
 
-@TOPOLOGIES.register("complete-bipartite", summary="complete bipartite K_{a,n-a} (a = n//2 by default)")
-def _topology_complete_bipartite(n: int, a: int | None = None) -> Topology:
-    a = n // 2 if a is None else int(a)
+def _check_complete_bipartite(n: int, a: int | None) -> int:
+    """The size of the first side (``n // 2`` by default)."""
+    _check_n("complete-bipartite", n)
+    a = n // 2 if a is None else _int_param("complete-bipartite", "a", a, 1)
     if not 0 < a < n:
         raise ValueError(f"complete-bipartite needs 0 < a < n, got a={a}, n={n}")
-    return complete_bipartite(a, n - a)
+    return a
 
 
-@TOPOLOGIES.register("barbell", summary="two m-cliques joined by a path (worst-case bottleneck)")
-def _topology_barbell(n: int, path: int = 0) -> Topology:
-    path = int(path)
+def _check_barbell(n: int, path: int) -> None:
+    _check_n("barbell", n)
+    _int_param("barbell", "path", path, 0)
     body = n - path
-    if path < 0 or body < 6 or body % 2:
+    if body < 6 or body % 2:
         raise ValueError(
             f"barbell needs n - path even and >= 6 (two cliques of >= 3), got n={n}, path={path}"
         )
-    return barbell(body // 2, path)
+
+
+@TOPOLOGIES.register(
+    "clique", summary="complete graph with self-loops (the paper's model)", check=_check_clique
+)
+def _topology_clique(n: int) -> Topology:
+    _check_clique(n)
+    return clique(n)
+
+
+@TOPOLOGIES.register("cycle", summary="ring of n nodes (diameter n/2)", check=_check_cycle)
+def _topology_cycle(n: int) -> Topology:
+    _check_cycle(n)
+    return cycle(n)
+
+
+@TOPOLOGIES.register(
+    "torus", summary="periodic rows x cols grid (near-square by default)", check=_check_torus
+)
+def _topology_torus(n: int, rows: int | None = None, cols: int | None = None) -> Topology:
+    return torus(*_check_torus(n, rows, cols))
+
+
+@TOPOLOGIES.register(
+    "random-regular",
+    summary="uniform random d-regular graph (expander w.h.p.)",
+    check=_check_random_regular,
+)
+def _topology_random_regular(n: int, d: int = 8, seed: int = 0) -> Topology:
+    _check_random_regular(n, d, seed)
+    return random_regular(n, d, seed=seed)
+
+
+@TOPOLOGIES.register(
+    "erdos-renyi",
+    summary="G(n, p); p defaults to 2 ln(n)/n, near the connectivity threshold",
+    check=_check_erdos_renyi,
+)
+def _topology_erdos_renyi(n: int, p: float | None = None, seed: int = 0) -> Topology:
+    return erdos_renyi(n, _check_erdos_renyi(n, p, seed), seed=seed)
+
+
+@TOPOLOGIES.register(
+    "complete-bipartite",
+    summary="complete bipartite K_{a,n-a} (a = n//2 by default)",
+    check=_check_complete_bipartite,
+)
+def _topology_complete_bipartite(n: int, a: int | None = None) -> Topology:
+    a = _check_complete_bipartite(n, a)
+    return complete_bipartite(a, n - a)
+
+
+@TOPOLOGIES.register(
+    "barbell",
+    summary="two m-cliques joined by a path (worst-case bottleneck)",
+    check=_check_barbell,
+)
+def _topology_barbell(n: int, path: int = 0) -> Topology:
+    _check_barbell(n, path)
+    return barbell((n - path) // 2, path)

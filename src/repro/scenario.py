@@ -62,15 +62,16 @@ def _ensure_registered() -> None:
     """Import the modules whose decorators populate the registries.
 
     The dynamics/adversary/stopping registrations ride on ``repro.core``
-    (already imported above); the workload generators live one layer up in
-    :mod:`repro.experiments.workloads`, and the topology generators in
-    :mod:`repro.graphs.topology` — both imported lazily here to keep
-    ``repro.core`` free of upward dependencies (and the networkx import
-    off the non-graph paths).
+    (already imported above); the workload generators live in
+    :mod:`repro.core.workloads` and the topology generators in
+    :mod:`repro.graphs.topology`, both imported lazily here to keep the
+    networkx import off the non-graph paths.  Neither pulls in
+    :mod:`repro.experiments` (and with it ``scipy.stats``), so a serving
+    process or a spawned worker pays only for what a spec can name.
     """
     global _registered
     if not _registered:
-        from .experiments import workloads  # noqa: F401 — import registers WORKLOADS
+        from .core import workloads  # noqa: F401 — import registers WORKLOADS
         from .graphs import topology  # noqa: F401 — import registers TOPOLOGIES
 
         _registered = True
@@ -309,6 +310,21 @@ class ScenarioSpec:
 
     def resolve(self) -> ResolvedScenario:
         """Resolve all names through the registries into live objects."""
+        return self._resolve(build_topology=True)
+
+    def validate(self) -> "ScenarioSpec":
+        """Check every name and parameter; returns self.
+
+        Raises exactly when :meth:`resolve` would, with the same exception
+        type, but never builds the topology: graph parameters go through
+        the registry's cheap value checks (:meth:`Registry.check
+        <repro.core.registry.Registry.check>`), so the graph is generated
+        only when the spec runs.
+        """
+        self._resolve(build_topology=False)
+        return self
+
+    def _resolve(self, *, build_topology: bool) -> ResolvedScenario:
         _ensure_registered()
         dynamics = DYNAMICS.build(self.dynamics, **self.dynamics_params)
         if not isinstance(dynamics, Dynamics):
@@ -344,13 +360,16 @@ class ScenarioSpec:
             reason = graph_ineligibility(dynamics)
             if reason is not None:
                 raise ValueError(f"topology {self.topology!r} unavailable: {reason}")
-            topology = TOPOLOGIES.build(self.topology, self.n, **self.topology_params)
-            if not isinstance(topology, Topology):
-                raise TypeError(f"topology {self.topology!r} did not build a Topology")
-            if topology.n != self.n:
-                raise ValueError(
-                    f"topology {self.topology!r} built {topology.n} nodes, expected n={self.n}"
-                )
+            if build_topology:
+                topology = TOPOLOGIES.build(self.topology, self.n, **self.topology_params)
+                if not isinstance(topology, Topology):
+                    raise TypeError(f"topology {self.topology!r} did not build a Topology")
+                if topology.n != self.n:
+                    raise ValueError(
+                        f"topology {self.topology!r} built {topology.n} nodes, expected n={self.n}"
+                    )
+            else:
+                TOPOLOGIES.check(self.topology, self.n, **self.topology_params)
         return ResolvedScenario(
             dynamics=dynamics,
             initial=initial,
@@ -359,11 +378,6 @@ class ScenarioSpec:
             record=record,
             topology=topology,
         )
-
-    def validate(self) -> "ScenarioSpec":
-        """Check every name and parameter by resolving once; returns self."""
-        self.resolve()
-        return self
 
     @staticmethod
     def registries() -> dict[str, list[str]]:

@@ -52,10 +52,12 @@ def prepare_spec(
     """Validate one scenario object into ``(spec, None)`` or ``(None, envelope)``.
 
     ``validate=False`` skips the registry :meth:`~repro.scenario.ScenarioSpec.validate`
-    pass (which can be expensive — topology validation materialises the
-    graph) for callers that memoise it themselves, e.g. the service's
-    per-spec validation cache.  Structural parsing and the concrete-seed
-    requirement always apply.
+    pass for callers that memoise it themselves, e.g. the service's
+    per-spec validation cache.  That pass builds the dynamics and the
+    initial configuration but never a topology graph: graph parameters
+    are value-checked only, and the graph is built once, by whoever runs
+    the spec.  Structural parsing and the concrete-seed requirement
+    always apply.
     """
     try:
         if isinstance(entry, ScenarioSpec):

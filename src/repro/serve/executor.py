@@ -293,9 +293,11 @@ def _warm() -> None:
     """Pool warm-up task: pay a fresh worker's one-time start-up cost.
 
     Module-level (picklable).  Unpickling it imports this module; filling
-    the workload and topology registries pays the imports that a worker's
+    the workload and topology registries pays the imports (numpy,
+    networkx; never :mod:`repro.experiments` or scipy) that a worker's
     first ``resolve()`` would otherwise pay inside a task, on the stall
-    clock.
+    clock.  A task's ``resolve()`` is the only place a spec's topology
+    graph is built; the server only validates.
     """
     from ..scenario import _ensure_registered
 

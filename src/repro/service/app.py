@@ -267,9 +267,11 @@ class ScenarioService:
         self._inflight: dict[str, asyncio.Future] = {}
         self._draining = False
         # Validation memo: canonical spec JSON → already passed validate().
-        # Registry validation can materialise a topology graph (hundreds of
-        # ms), so the warm path must not re-pay it per request.  Accessed
-        # from handler worker threads; guarded by its own lock.
+        # Validation builds no graph (topology parameters are only
+        # value-checked), but it does build the initial configuration,
+        # which grows with n and k, so the warm path skips it for a spec
+        # already seen.  Accessed from handler worker threads; guarded by
+        # its own lock.
         self._validated: OrderedDict[str, None] = OrderedDict()
         self._validated_lock = threading.Lock()
         self._histograms: dict[str, LatencyHistogram] = {}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Configuration, ThreeMajority, majority_rule
+from repro.core.registry import TOPOLOGIES
 from repro.graphs import (
     GraphPluralityProcess,
     GraphState,
@@ -296,6 +297,80 @@ class TestFromNetworkxVectorized:
         g.add_node(2)
         with pytest.raises(ValueError, match="empty sampling pool"):
             Topology.from_networkx(g, include_self=False)
+
+
+class TestPackingPaths:
+    """Both ``from_networkx`` paths pack a graph into identical arrays.
+
+    A graph labelled exactly ``0..n-1`` is read in place; any other
+    labelling is relabelled in sorted order first (a full graph copy).
+    """
+
+    @staticmethod
+    def _relabel_path(graph) -> Topology:
+        # Wrapping every label in a 1-tuple keeps its sorted rank and
+        # forces the relabel path.
+        import networkx as nx
+
+        return Topology.from_networkx(nx.relabel_nodes(graph, {v: (v,) for v in graph}))
+
+    @staticmethod
+    def _assert_same(topo: Topology, other: Topology) -> None:
+        assert np.array_equal(topo.offsets, other.offsets)
+        assert np.array_equal(topo.neighbors, other.neighbors)
+
+    @pytest.mark.parametrize("name", TOPOLOGIES.names())
+    def test_every_registered_topology(self, name, monkeypatch):
+        import networkx as nx
+
+        packed = []
+        real = Topology.from_networkx.__func__
+
+        def capture(cls, graph, *args, **kwargs):
+            packed.append(graph)
+            return real(cls, graph, *args, **kwargs)
+
+        monkeypatch.setattr(Topology, "from_networkx", classmethod(capture))
+        built = TOPOLOGIES.build(name, 60)
+        monkeypatch.undo()
+        graph = packed[0] if packed else nx.complete_graph(60)  # clique packs directly
+        self._assert_same(built, Topology.from_networkx(graph))
+        self._assert_same(built, self._relabel_path(graph))
+
+    def test_tuple_labels(self):
+        import networkx as nx
+
+        g = nx.grid_2d_graph(4, 5, periodic=True)
+        expected = Topology.from_networkx(nx.convert_node_labels_to_integers(g, ordering="sorted"))
+        self._assert_same(Topology.from_networkx(g), expected)
+
+    def test_integer_labels_inserted_out_of_order(self):
+        import networkx as nx
+
+        g = nx.Graph()
+        g.add_nodes_from([3, 0, 4, 1, 2])
+        g.add_edges_from([(4, 1), (2, 0), (3, 4), (0, 3), (1, 2), (4, 2)])
+        self._assert_same(Topology.from_networkx(g), self._relabel_path(g))
+
+    def test_non_contiguous_integer_labels(self):
+        import networkx as nx
+
+        g = nx.Graph([(9, 5), (7, 9)])  # ranks: 5 -> 0, 7 -> 1, 9 -> 2
+        topo = Topology.from_networkx(g)
+        self._assert_same(topo, Topology.from_networkx(nx.Graph([(2, 0), (1, 2)])))
+        assert topo.offsets.tolist() == [0, 2, 4, 7]
+        assert topo.neighbors.tolist() == [0, 2, 1, 2, 0, 1, 2]
+
+    def test_range_labels_skip_the_relabel_copy(self, monkeypatch):
+        import networkx as nx
+
+        def no_copy(*args, **kwargs):
+            raise AssertionError("relabel copy made")
+
+        monkeypatch.setattr(nx, "convert_node_labels_to_integers", no_copy)
+        assert TOPOLOGIES.build("random-regular", 60).n == 60
+        with pytest.raises(AssertionError, match="relabel copy"):
+            TOPOLOGIES.build("torus", 60)
 
 
 class TestGraphEnsembleBitIdentity:

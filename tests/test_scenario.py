@@ -18,7 +18,7 @@ from repro import (
 )
 from repro.core.registry import ADVERSARIES, DYNAMICS, STOPPING, WORKLOADS, Registry
 from repro.experiments.harness import sweep
-from repro.experiments.workloads import paper_biased
+from repro.core.workloads import paper_biased
 
 #: Example parameters making every registered dynamics buildable by name.
 DYNAMICS_EXAMPLES: dict[str, dict] = {

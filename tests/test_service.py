@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import ResultCache, ScenarioSpec, cache_key, simulate_ensemble
+from repro.core.registry import TOPOLOGIES
 from repro.service import (
     BackgroundServer,
     ScenarioService,
@@ -411,8 +412,9 @@ class TestLoadDriver:
 
 class TestValidationMemo:
     def test_validate_runs_once_per_unique_spec(self, monkeypatch):
-        # Registry validation can materialise a topology graph; the warm
-        # path must not re-pay it for a spec already seen (app._prepare).
+        # Validation builds the initial configuration (it grows with n and
+        # k); the warm path must not re-pay it for a spec already seen
+        # (app._prepare).
         calls: list[int] = []
         real_validate = ScenarioSpec.validate
 
@@ -439,6 +441,61 @@ class TestValidationMemo:
             assert spec is None
             assert error["type"] in ("KeyError", "ValueError")
         assert len(service._validated) == 0
+
+
+class TestTopologyBuiltOnce:
+    """A graph miss builds its topology once, in the run: validation never does."""
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> list[str]:
+        builds: list[str] = []
+        real_build = TOPOLOGIES.build
+
+        def counting_build(name, *args, **params):
+            builds.append(name)
+            return real_build(name, *args, **params)
+
+        monkeypatch.setattr(TOPOLOGIES, "build", counting_build)
+        return builds
+
+    @staticmethod
+    def _graph_spec(seed: int) -> dict:
+        return spec_dict(
+            n=1_000, k=3, topology="random-regular", topology_params={"d": 8, "seed": seed}
+        )
+
+    def test_cold_miss_builds_once(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        service = ScenarioService(cache=ResultCache(None), workers=0)
+        with BackgroundServer(service) as srv, ServiceClient("127.0.0.1", srv.port) as c:
+            payload = c.simulate(self._graph_spec(1))
+        assert payload["source"] == "run"
+        assert builds == ["random-regular"]
+
+    def test_coalesced_duplicate_pair_builds_once(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        service = ScenarioService(cache=ResultCache(None), workers=0)
+        real_execute = service._execute
+
+        async def slow_execute(key, spec):
+            await asyncio.sleep(0.3)  # hold the in-flight window open
+            return await real_execute(key, spec)
+
+        service._execute = slow_execute
+        sources: list[str] = []
+
+        def one_request():
+            with ServiceClient("127.0.0.1", srv.port, timeout=120.0) as c:
+                sources.append(c.simulate(self._graph_spec(2))["source"])
+
+        with BackgroundServer(service) as srv:
+            threads = [threading.Thread(target=one_request) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        assert sorted(sources) == ["coalesced", "run"]
+        assert builds == ["random-regular"]
 
 
 class TestServiceResilience:
